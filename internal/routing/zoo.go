@@ -12,7 +12,7 @@ import (
 // (topology/zoo.go): structure-aware routing functions that exploit a
 // family's coordinates instead of the coordinated tree. Each one is an
 // ordinary Algorithm producing an ordinary Function, so the existence
-// checker, the certifier, and all three simulation engines apply to them
+// checker, the certifier, and both simulation engines apply to them
 // exactly as to the tree-based algorithms.
 
 // FullMeshVCFree is the VC-free deadlock-free full-mesh routing of Cano et

@@ -82,8 +82,7 @@ type benchWormsim struct {
 		Engines  map[string]struct {
 			CyclesPerSec float64 `json:"cycles_per_sec"`
 		} `json:"engines"`
-		Speedup         float64 `json:"speedup"`
-		SpeedupParallel float64 `json:"speedup_parallel"`
+		Speedup float64 `json:"speedup"`
 	} `json:"configs"`
 }
 
@@ -178,7 +177,6 @@ func IngestFile(path string) ([]Record, []string, error) {
 		for _, c := range d.Configs {
 			sc := fmt.Sprintf("%dsw/%dport/r%g", c.Switches, c.Ports, c.Rate)
 			add("wormsim", "speedup_event_scan", sc, d.Cores, c.Speedup)
-			add("wormsim", "speedup_parallel_event", sc, d.Cores, c.SpeedupParallel)
 			if e, ok := c.Engines["event"]; ok {
 				add("wormsim", "event_cycles_per_sec", sc, d.Cores, e.CyclesPerSec)
 			}

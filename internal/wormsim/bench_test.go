@@ -51,38 +51,35 @@ func BenchmarkRunCycles(b *testing.B) {
 	}
 }
 
-// BenchmarkRunCyclesScale times warmed cycles at the fabric scales the
-// parallel engine targets (1024 and 4096 switches), under enough load that
-// a cycle carries real work. The scan baseline is omitted — its full
-// rescan is exactly what these scales rule out.
+// BenchmarkRunCyclesScale times warmed event-engine cycles at large fabric
+// scales (1024 and 4096 switches), under enough load that a cycle carries
+// real work. The scan baseline is omitted — its full rescan is exactly
+// what these scales rule out.
 func BenchmarkRunCyclesScale(b *testing.B) {
 	for _, switches := range []int{1024, 4096} {
-		for _, engine := range []Engine{EngineEvent, EngineParallel} {
-			b.Run(fmt.Sprintf("%dsw/%s", switches, engine), func(b *testing.B) {
-				f, tb := randomFn(b, 1, switches, 4, core.DownUp{})
-				sim, err := New(f, tb, Config{
-					PacketLength:  32,
-					InjectionRate: 0.3,
-					WarmupCycles:  NoWarmup,
-					MeasureCycles: 1 << 30,
-					Seed:          1,
-					Engine:        engine,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := sim.RunCycles(500); err != nil {
-					b.Fatal(err) // warm the network to steady state
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				if err := sim.RunCycles(b.N); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				sim.Finish()
+		b.Run(fmt.Sprintf("%dsw/%s", switches, EngineEvent), func(b *testing.B) {
+			f, tb := randomFn(b, 1, switches, 4, core.DownUp{})
+			sim, err := New(f, tb, Config{
+				PacketLength:  32,
+				InjectionRate: 0.3,
+				WarmupCycles:  NoWarmup,
+				MeasureCycles: 1 << 30,
+				Seed:          1,
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sim.RunCycles(500); err != nil {
+				b.Fatal(err) // warm the network to steady state
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := sim.RunCycles(b.N); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			sim.Finish()
+		})
 	}
 }
 
@@ -123,9 +120,8 @@ func BenchmarkSweep(b *testing.B) {
 // source.
 func TestSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
-		name     string
-		switches int // 0 = 32
-		cfg      Config
+		name string
+		cfg  Config
 	}{
 		{name: "open-loop", cfg: Config{
 			Mode:          Adaptive,
@@ -143,29 +139,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 			MeasureCycles: 1 << 30,
 			Seed:          5,
 		}},
-		// The parallel case runs four real workers (256 switches) with a
-		// deterministic selection so the multi-worker crossbar, feed, and
-		// generate phases — not the sequential fallbacks — are what is
-		// measured: no per-cycle heap allocation on any worker.
-		{name: "parallel", switches: 256, cfg: Config{
-			Mode:          Adaptive,
-			Select:        SelectFirst,
-			PacketLength:  8,
-			InjectionRate: 0.2,
-			WarmupCycles:  NoWarmup,
-			MeasureCycles: 1 << 30,
-			Seed:          5,
-			Engine:        EngineParallel,
-			Workers:       4,
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			switches := tc.switches
-			if switches == 0 {
-				switches = 32
-			}
-			f, tb := randomFn(t, 21, switches, 4, core.DownUp{})
+			f, tb := randomFn(t, 21, 32, 4, core.DownUp{})
 			sim, err := New(f, tb, tc.cfg)
 			if err != nil {
 				t.Fatal(err)

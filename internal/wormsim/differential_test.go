@@ -73,9 +73,8 @@ func TestEnginesByteIdentical(t *testing.T) {
 			return randomFn(t, seed, 32, ports, alg)
 		}
 	}
-	// bigNet crosses the parallel engine's one-worker-per-64-switches clamp,
-	// so its scenarios exercise real multi-worker execution (the 32-switch
-	// matrix clamps to a single worker).
+	// bigNet scales the matrix past its 32-switch default, so the event
+	// engine's bitmask words span several 64-switch blocks.
 	bigNet := func(seed uint64, ports int, alg routing.Algorithm) func(t *testing.T) (*routing.Function, *routing.Table) {
 		return func(t *testing.T) (*routing.Function, *routing.Table) {
 			return randomFn(t, seed, 256, ports, alg)
@@ -154,16 +153,14 @@ func TestEnginesByteIdentical(t *testing.T) {
 			c.DetectInterval = 128
 			c.Seed = 1
 		}), wantErr: true},
-		{name: "parallel/256sw", build: bigNet(21, 4, core.DownUp{}), cfg: at(func(c *Config) {
+		{name: "large/256sw", build: bigNet(21, 4, core.DownUp{}), cfg: at(func(c *Config) {
 			c.InjectionRate = 0.3
 			c.MeasureCycles = 2000
-			c.Workers = 4
 		})},
-		{name: "parallel/256sw-adaptive-first", build: bigNet(22, 4, core.DownUp{}), cfg: at(func(c *Config) {
+		{name: "large/256sw-adaptive-first", build: bigNet(22, 4, core.DownUp{}), cfg: at(func(c *Config) {
 			c.Mode = Adaptive
 			c.Select = SelectFirst
 			c.MeasureCycles = 2000
-			c.Workers = 4
 		})},
 	}
 
@@ -256,24 +253,31 @@ func TestEnginesByteIdentical(t *testing.T) {
 }
 
 // TestEngineDefaultIsEvent pins the default: a zero Config selects the
-// event-driven engine, the scan engine stays reachable, and out-of-range
-// engines are rejected.
+// event-driven engine, the scan engine stays reachable, engine names
+// round-trip through ParseEngine, and unknown engines are rejected.
 func TestEngineDefaultIsEvent(t *testing.T) {
 	if (Config{}).withDefaults().Engine != EngineEvent {
 		t.Fatal("zero Config no longer defaults to EngineEvent")
 	}
-	if EngineEvent.String() != "event" || EngineScan.String() != "scan" || EngineParallel.String() != "parallel" {
-		t.Fatalf("engine names changed: %v, %v, %v", EngineEvent, EngineScan, EngineParallel)
+	if EngineEvent.String() != "event" || EngineScan.String() != "scan" {
+		t.Fatalf("engine names changed: %v, %v", EngineEvent, EngineScan)
 	}
-	if got := Engines(); len(got) != 3 || got[0] != EngineScan {
-		t.Fatalf("Engines() = %v; want all three engines, scan baseline first", got)
+	if got := Engines(); len(got) != 2 || got[0] != EngineScan {
+		t.Fatalf("Engines() = %v; want both engines, scan baseline first", got)
+	}
+	for _, e := range Engines() {
+		if got, err := ParseEngine(e.String()); err != nil || got != e {
+			t.Fatalf("ParseEngine(%q) = %v, %v; want %v", e, got, err, e)
+		}
+	}
+	for _, name := range []string{"parallel", ""} {
+		if _, err := ParseEngine(name); err == nil {
+			t.Fatalf("ParseEngine(%q) accepted", name)
+		}
 	}
 	f, tb := randomFn(t, 1, 8, 4, core.DownUp{})
 	if _, err := New(f, tb, Config{Engine: Engine(7)}); err == nil {
 		t.Fatal("Engine(7) accepted")
-	}
-	if _, err := New(f, tb, Config{Workers: -1}); err == nil {
-		t.Fatal("negative Workers accepted")
 	}
 	sim, err := New(f, tb, Config{Engine: EngineScan, MeasureCycles: 100, WarmupCycles: NoWarmup})
 	if err != nil {

@@ -64,15 +64,19 @@ type evState struct {
 	// srcWords is the active-source bitmask: set while the node's source
 	// queue may hold a packet.
 	srcWords []uint64
-	// readyEject/readyOther are last cycle's filled-wire lists, consumed by
-	// the delivery and link stages (the current cycle's fills collect in
-	// wctx, and stepEvent swaps the pairs). Ejection fills happen in
-	// ascending node order (switchStage processes switches in order and
-	// only switch v fills v's ejection wire), matching the scan engine's
-	// delivery order. The parallel engine keeps its per-worker ready lists
-	// in parState instead.
-	readyEject []int32
-	readyOther []int32
+	// fillEject/fillOther collect the wires filled during the current cycle
+	// (ejection wires separately: their consumption order is the delivery
+	// order, which must be ascending by node); readyEject/readyOther are
+	// last cycle's lists, consumed by the delivery and link stages.
+	// stepEvent swaps the pairs. Ejection fills happen in ascending node
+	// order (switchStage processes switches in order and only switch v
+	// fills v's ejection wire), matching the scan engine's delivery order.
+	fillEject, fillOther   []int32
+	readyEject, readyOther []int32
+	// ejBase is the first ejection wire index (nCh + n).
+	ejBase int32
+	// ord is the per-switch round-robin scratch of switchEvent.
+	ord []int32
 }
 
 // newEvState builds the scheduling state for s; all sets start empty to
@@ -84,6 +88,7 @@ func newEvState(s *Simulator) *evState {
 		laneWords:   make([][]uint64, s.n),
 		switchWords: make([]uint64, (s.n+63)/64),
 		srcWords:    make([]uint64, (s.n+63)/64),
+		ejBase:      int32(s.nCh + s.n),
 	}
 	for i := range ev.laneSwitch {
 		ev.laneSwitch[i] = -1
@@ -109,6 +114,17 @@ func (ev *evState) markLane(li int32) {
 	ev.switchWords[v>>6] |= 1 << (uint(v) & 63)
 }
 
+// noteFill records that wire w was filled this cycle, scheduling its
+// consumption (delivery for ejection wires, link traversal otherwise) for
+// next cycle.
+func (ev *evState) noteFill(w int32) {
+	if w >= ev.ejBase {
+		ev.fillEject = append(ev.fillEject, w)
+	} else {
+		ev.fillOther = append(ev.fillOther, w)
+	}
+}
+
 // markSource wakes node v's injection feed (its queue just received a
 // packet).
 func (ev *evState) markSource(v int) {
@@ -120,31 +136,29 @@ func (ev *evState) markSource(v int) {
 // stage iterating its worklist instead of the whole network.
 func (s *Simulator) stepEvent() {
 	ev := s.ev
-	wx := &s.wk[0]
-	ev.readyEject, wx.fillEject = wx.fillEject, ev.readyEject[:0]
-	ev.readyOther, wx.fillOther = wx.fillOther, ev.readyOther[:0]
-	ejBase := s.nCh + s.n
+	ev.readyEject, ev.fillEject = ev.fillEject, ev.readyEject[:0]
+	ev.readyOther, ev.fillOther = ev.fillOther, ev.readyOther[:0]
 	for _, w := range ev.readyEject {
-		s.deliverEject(int(w) - ejBase)
+		s.deliverEject(int(w - ev.ejBase))
 	}
 	for _, w := range ev.readyOther {
-		s.linkWire(wx, int(w))
+		s.linkWire(int(w))
 	}
-	s.switchStageEvent(wx)
-	s.feedInjectionEvent(wx)
+	s.switchStageEvent()
+	s.feedInjectionEvent()
 	s.generate()
 }
 
 // switchStageEvent visits every switch with at least one active input
 // lane, in ascending order.
-func (s *Simulator) switchStageEvent(wx *wctx) {
+func (s *Simulator) switchStageEvent() {
 	ev := s.ev
 	for wi, word := range ev.switchWords {
 		base := wi << 6
 		for word != 0 {
 			v := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			if s.switchEvent(wx, v) {
+			if s.switchEvent(v) {
 				ev.switchWords[wi] &^= 1 << (uint(v) & 63)
 			}
 		}
@@ -154,18 +168,18 @@ func (s *Simulator) switchStageEvent(wx *wctx) {
 // switchEvent runs the crossbar stage of one switch over its active lanes
 // in round-robin order, pruning lanes whose buffers turn out (or end up)
 // empty. It reports whether the switch went fully idle.
-func (s *Simulator) switchEvent(wx *wctx, v int) bool {
+func (s *Simulator) switchEvent(v int) bool {
 	ev := s.ev
 	lanes := s.inVCLs[v]
 	words := ev.laneWords[v]
 	start := (s.cycle - 1) % len(lanes) // == the scan engine's rr[v] this cycle
-	ord := appendSetBits(wx.ord[:0], words, start, len(lanes))
+	ord := appendSetBits(ev.ord[:0], words, start, len(lanes))
 	ord = appendSetBits(ord, words, 0, start)
-	wx.ord = ord
+	ev.ord = ord
 	idle := true
 	for _, p := range ord {
 		li := lanes[p]
-		s.tryForward(wx, v, li)
+		s.tryForward(v, li)
 		if s.bufs[li].empty() {
 			words[p>>6] &^= 1 << (uint(p) & 63)
 		} else {
@@ -177,14 +191,14 @@ func (s *Simulator) switchEvent(wx *wctx, v int) bool {
 
 // feedInjectionEvent visits every node with a (possibly) non-empty source
 // queue, in ascending order, retiring nodes that have nothing to inject.
-func (s *Simulator) feedInjectionEvent(wx *wctx) {
+func (s *Simulator) feedInjectionEvent() {
 	ev := s.ev
 	for wi, word := range ev.srcWords {
 		base := wi << 6
 		for word != 0 {
 			v := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			if s.feedNode(wx, v) {
+			if s.feedNode(v) {
 				ev.srcWords[wi] &^= 1 << (uint(v) & 63)
 			}
 		}

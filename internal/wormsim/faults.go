@@ -186,11 +186,9 @@ func (s *Simulator) reroute(v int, p *packet) bool {
 		}
 		p.hop = 0
 		return true
-	default: // Adaptive: no stored route; probe reachability. Rewire runs
-		// between cycles on the caller goroutine, so wk[0]'s scratch is free.
-		wx := &s.wk[0]
-		wx.candBuf = s.tb.NextChannels(int(p.dst), routing.InjectionState(v), wx.candBuf[:0])
-		return len(wx.candBuf) > 0
+	default: // Adaptive: no stored route; probe reachability.
+		s.candBuf = s.tb.NextChannels(int(p.dst), routing.InjectionState(v), s.candBuf[:0])
+		return len(s.candBuf) > 0
 	}
 }
 

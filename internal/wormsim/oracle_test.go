@@ -13,7 +13,7 @@ import (
 // oracleScript drives one simulator through a fixed interleaving of
 // advances and probes and returns every probe's final status plus the
 // closing counters — the oracle-visible behaviour the invariance tests
-// compare across engines and worker counts.
+// compare across engines.
 func oracleScript(t *testing.T, cfg Config) ([]ProbeStatus, LiveCounters) {
 	t.Helper()
 	f, tb := randomFn(t, 7, 32, 4, core.DownUp{})
@@ -42,10 +42,10 @@ func oracleScript(t *testing.T, cfg Config) ([]ProbeStatus, LiveCounters) {
 	return out, sim.Counters()
 }
 
-// TestProbeInvariantAcrossEnginesAndWorkers is the oracle-side determinism
-// contract: the same probe script yields identical statuses and counters
-// under every engine and any worker count.
-func TestProbeInvariantAcrossEnginesAndWorkers(t *testing.T) {
+// TestProbeInvariantAcrossEngines is the oracle-side determinism contract:
+// the same probe script yields identical statuses and counters under every
+// engine.
+func TestProbeInvariantAcrossEngines(t *testing.T) {
 	base := Config{
 		InjectionRate: 0.05,
 		WarmupCycles:  NoWarmup,
@@ -61,12 +61,6 @@ func TestProbeInvariantAcrossEnginesAndWorkers(t *testing.T) {
 		c := base
 		c.Engine = e
 		variants = append(variants, variant{e.String(), c})
-	}
-	for _, w := range []int{1, 2, 4} {
-		c := base
-		c.Engine = EngineParallel
-		c.Workers = w
-		variants = append(variants, variant{fmt.Sprintf("parallel-%dw", w), c})
 	}
 	ref, refCnt := oracleScript(t, variants[0].cfg)
 	for _, v := range variants[1:] {
