@@ -16,6 +16,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/routing"
 )
@@ -51,9 +55,21 @@ const maxPorts = 16
 // magnitude below it.
 const maxSwitches = 1 << 16
 
+// tile is how many destinations one unit of Compile's work covers: 32
+// uint16 entries fill one 64-byte cache line of every table row.
+const tile = 32
+
 // Compile builds the FIB for a routing function from its table. Every
 // (destination, input port) pair at every switch gets the exact set of
 // shortest legal output ports the table would offer.
+//
+// The work is cut into tiles of 32 consecutive destinations, handed to
+// GOMAXPROCS goroutines through an atomic counter. A tile sweeps every
+// switch and input row, so the table rows of its destinations stay in
+// cache, and it writes one 64-byte line per (switch, row). The allowed
+// turns are looked up once per input channel, not per destination. Every
+// entry depends only on the table, so the bytes are the same for any
+// goroutine count.
 func Compile(tb *routing.Table) (*FIB, error) {
 	fn := tb.Function()
 	cg := fn.CG()
@@ -64,12 +80,9 @@ func Compile(tb *routing.Table) (*FIB, error) {
 		table:     make([][]uint16, n),
 		algorithm: fn.AlgorithmName,
 	}
-	// Port maps: channel id -> local output port at its From switch, and
-	// -> local input port at its To switch. cg.Out[v] and cg.In[v] are both
-	// ascending by peer id, so output port k and input port k face the same
-	// neighbor.
-	outPort := make([]int, cg.NumChannels())
-	inPort := make([]int, cg.NumChannels())
+	// cg.Out[v] and cg.In[v] are both ascending by peer id, so output port
+	// k and input port k face the same neighbor, and the row of input
+	// channel cg.In[v][k] is k+1.
 	for v := 0; v < n; v++ {
 		if len(cg.Out[v]) > maxPorts {
 			return nil, fmt.Errorf("fib: switch %d has %d ports; the format supports %d",
@@ -77,41 +90,78 @@ func Compile(tb *routing.Table) (*FIB, error) {
 		}
 		f.neighbors[v] = make([]int32, len(cg.Out[v]))
 		for k, c := range cg.Out[v] {
-			outPort[c] = k
 			f.neighbors[v][k] = int32(cg.Channels[c].To)
 		}
-		for k, c := range cg.In[v] {
-			inPort[c] = k
+		f.table[v] = make([]uint16, (len(cg.In[v])+1)*n)
+	}
+	// turns[c] is the mask of output ports at c's sink that a packet
+	// arriving on c may take.
+	turns := make([]uint16, cg.NumChannels())
+	for c := range turns {
+		for k, out := range cg.Out[cg.Channels[c].To] {
+			if fn.Sys.TurnAllowed(c, out) {
+				turns[c] |= 1 << uint(k)
+			}
 		}
 	}
 
-	var buf []int
-	for v := 0; v < n; v++ {
-		rows := len(cg.In[v]) + 1
-		f.table[v] = make([]uint16, rows*n)
-		for dst := 0; dst < n; dst++ {
-			if dst == v {
-				continue // headers for the local processor never consult the FIB
-			}
-			// Injection row.
-			buf = tb.NextChannels(dst, routing.InjectionState(v), buf[:0])
-			var mask uint16
-			for _, c := range buf {
-				mask |= 1 << uint(outPort[c])
-			}
-			f.table[v][dst] = mask
-			// One row per input channel.
-			for _, cIn := range cg.In[v] {
-				buf = tb.NextChannels(dst, cIn, buf[:0])
-				mask = 0
-				for _, c := range buf {
-					mask |= 1 << uint(outPort[c])
+	tiles := (n + tile - 1) / tile
+	workers := min(runtime.GOMAXPROCS(0), tiles)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := (int(next.Add(1)) - 1) * tile
+				if lo >= n {
+					return
 				}
-				f.table[v][(inPort[cIn]+1)*n+dst] = mask
+				f.compileTile(tb, turns, lo, min(lo+tile, n))
 			}
+		}()
+	}
+	wg.Wait()
+	return f, nil
+}
+
+// compileTile fills the entries for destinations lo..hi-1 in every row of
+// every switch.
+func (f *FIB) compileTile(tb *routing.Table, turns []uint16, lo, hi int) {
+	cg := tb.Function().CG()
+	for v := 0; v < f.n; v++ {
+		outs := cg.Out[v]
+		fillTile(tb, f.table[v][lo:hi], routing.InjectionState(v), outs, 1<<uint(len(outs))-1, v, lo)
+		for k, cIn := range cg.In[v] {
+			row := f.table[v][(k+1)*f.n:]
+			fillTile(tb, row[lo:hi], cIn, outs, turns[cIn], v, lo)
 		}
 	}
-	return f, nil
+}
+
+// fillTile sets entries[j] to the shortest legal output ports toward
+// destination lo+j for a header at switch v in the given routing state,
+// which may leave on the ports in allowed.
+func fillTile(tb *routing.Table, entries []uint16, state int, outs []int, allowed uint16, v, lo int) {
+	for j := range entries {
+		dst := lo + j
+		if dst == v {
+			continue // headers for the local processor never consult the FIB
+		}
+		d := tb.StateDistance(dst, state)
+		if d < 0 {
+			continue
+		}
+		var mask uint16
+		for m := allowed; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros16(m)
+			if tb.StateDistance(dst, outs[k]) == d-1 {
+				mask |= 1 << uint(k)
+			}
+		}
+		entries[j] = mask
+	}
 }
 
 // N returns the switch count.

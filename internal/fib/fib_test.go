@@ -2,6 +2,7 @@ package fib
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/cgraph"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/topology"
+	"repro/internal/turnmodel"
 )
 
 func buildTable(t testing.TB, seed uint64, switches, ports int, alg routing.Algorithm) *routing.Table {
@@ -258,6 +260,104 @@ func BenchmarkCompile128x8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Compile(tb); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// compileRef is the switch-major compile loop Compile replaced: one
+// NextChannels call per (switch, destination, input row). It stays as the
+// reference Compile's tiled, parallel kernel must match byte for byte.
+func compileRef(tb *routing.Table) *FIB {
+	fn := tb.Function()
+	cg := fn.CG()
+	n := cg.N()
+	f := &FIB{
+		n:         n,
+		neighbors: make([][]int32, n),
+		table:     make([][]uint16, n),
+		algorithm: fn.AlgorithmName,
+	}
+	outPort := make([]int, cg.NumChannels())
+	inPort := make([]int, cg.NumChannels())
+	for v := 0; v < n; v++ {
+		f.neighbors[v] = make([]int32, len(cg.Out[v]))
+		for k, c := range cg.Out[v] {
+			outPort[c] = k
+			f.neighbors[v][k] = int32(cg.Channels[c].To)
+		}
+		for k, c := range cg.In[v] {
+			inPort[c] = k
+		}
+	}
+	var buf []int
+	for v := 0; v < n; v++ {
+		f.table[v] = make([]uint16, (len(cg.In[v])+1)*n)
+		for dst := 0; dst < n; dst++ {
+			if dst == v {
+				continue
+			}
+			buf = tb.NextChannels(dst, routing.InjectionState(v), buf[:0])
+			var mask uint16
+			for _, c := range buf {
+				mask |= 1 << uint(outPort[c])
+			}
+			f.table[v][dst] = mask
+			for _, cIn := range cg.In[v] {
+				buf = tb.NextChannels(dst, cIn, buf[:0])
+				mask = 0
+				for _, c := range buf {
+					mask |= 1 << uint(outPort[c])
+				}
+				f.table[v][(inPort[cIn]+1)*n+dst] = mask
+			}
+		}
+	}
+	return f
+}
+
+func fibBytes(t *testing.T, f *FIB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := f.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCompileMatchesReference pins Compile to compileRef byte for byte
+// across the five algorithms, sizes that do and do not fill the last
+// destination tile, a mask that disconnects the network (unreachable
+// entries), and one and four goroutines.
+func TestCompileMatchesReference(t *testing.T) {
+	var tables []*routing.Table
+	for _, alg := range []routing.Algorithm{core.DownUp{}, routing.LTurn{}, routing.UpDown{},
+		routing.RightLeft{}, routing.DFSUpDown{}} {
+		for _, sz := range []struct{ switches, ports int }{{12, 4}, {32, 6}, {75, 8}} {
+			tables = append(tables, buildTable(t, 2, sz.switches, sz.ports, alg))
+		}
+	}
+	// Only same-direction moves stay legal: acyclic, mostly disconnected.
+	cg := buildTable(t, 4, 40, 4, routing.UpDown{}).Function().CG()
+	frozen := routing.FromMask(cg, turnmodel.UpDownDir{}, turnmodel.NewMask(2, []turnmodel.Turn{
+		{From: turnmodel.UDUp, To: turnmodel.UDDown}, {From: turnmodel.UDDown, To: turnmodel.UDUp}}), "")
+	if frozen.Verify() == nil {
+		t.Fatal("frozen mask unexpectedly connected")
+	}
+	tables = append(tables, routing.NewTable(frozen))
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tb := range tables {
+		want := fibBytes(t, compileRef(tb))
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			f, err := Compile(tb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fibBytes(t, f); !bytes.Equal(got, want) {
+				t.Fatalf("%s at %d switches, GOMAXPROCS %d: Compile differs from compileRef",
+					tb.Function().AlgorithmName, f.N(), procs)
+			}
 		}
 	}
 }

@@ -14,6 +14,7 @@ package routing
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cgraph"
 	"repro/internal/turnmodel"
@@ -52,12 +53,64 @@ func (f *Function) CG() *cgraph.CG { return f.Sys.CG }
 //     allowed turns is acyclic (no turn cycle, Definition 7).
 //  2. Connectivity — every ordered pair of distinct nodes is joined by at
 //     least one path legal under the allowed turns.
+//
+// Acyclicity is what makes the second check cheap. The cycle search
+// finishes every channel after all of its allowed successors, so one pass
+// in that order computes, per channel, the exact set of destinations some
+// legal path from it reaches: the channel's own sink plus the sets of its
+// successors, whose sets are already final. A source reaches the union
+// over its out-channels. The pass takes one n-bit set per channel, never
+// the n²-entry distance table NewTable builds, and it reports the same
+// first broken pair, in the same words, as Table.FullyConnected.
 func (f *Function) Verify() error {
-	if cyc := f.Sys.FindTurnCycle(); cyc != nil {
+	post, cyc := f.Sys.PostOrder()
+	if cyc != nil {
 		return fmt.Errorf("routing: %s is not deadlock-free: turn cycle %s",
 			f.AlgorithmName, f.Sys.DescribeCycle(cyc))
 	}
-	return NewTable(f).FullyConnected()
+	cg := f.Sys.CG
+	n := cg.N()
+	words := (n + 63) / 64
+	// reach[c*words:(c+1)*words] is the destination set of channel c.
+	reach := make([]uint64, cg.NumChannels()*words)
+	for _, c32 := range post {
+		c := int(c32)
+		row := reach[c*words : (c+1)*words]
+		to := cg.Channels[c].To
+		row[to/64] |= 1 << (to % 64)
+		for _, nxt := range cg.Out[to] {
+			if f.Sys.TurnAllowed(c, nxt) {
+				for i, w := range reach[nxt*words : (nxt+1)*words] {
+					row[i] |= w
+				}
+			}
+		}
+	}
+	// The first broken pair in (dst, src) order is the smallest missing
+	// destination of any source, ties going to the smallest source.
+	brokenDst, brokenSrc := n, -1
+	row := make([]uint64, words)
+	for src := 0; src < n; src++ {
+		clear(row)
+		row[src/64] |= 1 << (src % 64)
+		for _, c := range cg.Out[src] {
+			for i, w := range reach[c*words : (c+1)*words] {
+				row[i] |= w
+			}
+		}
+		for i, w := range row {
+			if w != ^uint64(0) {
+				if dst := i*64 + bits.TrailingZeros64(^w); dst < brokenDst {
+					brokenDst, brokenSrc = dst, src
+				}
+				break
+			}
+		}
+	}
+	if brokenSrc >= 0 {
+		return fmt.Errorf("routing: %s cannot route %d -> %d", f.AlgorithmName, brokenSrc, brokenDst)
+	}
+	return nil
 }
 
 // CertifyBase proves the function's base configuration — the turns allowed

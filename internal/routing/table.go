@@ -38,7 +38,10 @@ const unreachable = int32(math.MaxInt32)
 // NewTable computes the table with one backward BFS per destination,
 // fanning destinations across GOMAXPROCS goroutines. Each destination's
 // row of dist is computed in isolation, so the result is identical for
-// any goroutine count (pinned by TestNewTableParallelIdentical).
+// any goroutine count (pinned by TestNewTableParallelIdentical). The turn
+// checks are hoisted out of the BFS: every channel's allowed predecessors
+// are listed once per table, and each destination's search only walks
+// those lists.
 func NewTable(f *Function) *Table {
 	return newTableN(f, runtime.GOMAXPROCS(0))
 }
@@ -54,13 +57,14 @@ func newTableN(f *Function, workers int) *Table {
 		stride: cg.NumChannels() + cg.N(),
 	}
 	t.dist = make([]int32, t.n*t.stride)
+	preds := newPredLists(f)
 	if workers > t.n {
 		workers = t.n
 	}
 	if workers <= 1 {
 		queue := make([]int32, 0, t.stride)
 		for dst := 0; dst < t.n; dst++ {
-			queue = t.bfsTo(dst, queue)
+			queue = t.bfsTo(dst, preds, queue)
 		}
 		return t
 	}
@@ -79,7 +83,7 @@ func newTableN(f *Function, workers int) *Table {
 				if dst >= t.n {
 					return
 				}
-				queue = t.bfsTo(dst, queue)
+				queue = t.bfsTo(dst, preds, queue)
 			}
 		}()
 	}
@@ -87,10 +91,32 @@ func newTableN(f *Function, workers int) *Table {
 	return t
 }
 
+// predLists lists, for every channel c, the in-channels of c's start node
+// whose turn onto c is allowed: list[start[c]:start[c+1]], in cg.In order.
+// These are exactly the channel predecessors of c in the backward BFS.
+type predLists struct {
+	start []int32
+	list  []int32
+}
+
+func newPredLists(f *Function) predLists {
+	cg := f.Sys.CG
+	p := predLists{start: make([]int32, cg.NumChannels()+1)}
+	for c := range cg.Channels {
+		for _, q := range cg.In[cg.Channels[c].From] {
+			if f.Sys.TurnAllowed(q, c) {
+				p.list = append(p.list, int32(q))
+			}
+		}
+		p.start[c+1] = int32(len(p.list))
+	}
+	return p
+}
+
 // bfsTo fills destination dst's row of dist with a backward BFS, reusing
 // queue as scratch (returned for the next call). It touches only that row,
 // which is what makes per-destination parallelism safe.
-func (t *Table) bfsTo(dst int, queue []int32) []int32 {
+func (t *Table) bfsTo(dst int, preds predLists, queue []int32) []int32 {
 	cg := t.f.Sys.CG
 	d := t.dist[dst*t.stride : (dst+1)*t.stride]
 	for i := range d {
@@ -105,20 +131,19 @@ func (t *Table) bfsTo(dst int, queue []int32) []int32 {
 		queue = append(queue, int32(c))
 	}
 	// Backward BFS over reversed state-graph edges. Predecessors of a
-	// channel state c are (a) the injection state of c.From and (b) any
-	// in-channel of c.From whose turn onto c is allowed. Injection
-	// states have no predecessors.
+	// channel state c are (a) the injection state of c.From and (b) the
+	// allowed predecessor channels of c. Injection states have no
+	// predecessors.
 	for head := 0; head < len(queue); head++ {
-		c := int(queue[head])
+		c := queue[head]
 		nd := d[c] + 1
-		from := cg.Channels[c].From
-		if inj := t.numCh + from; d[inj] > nd {
+		if inj := t.numCh + cg.Channels[c].From; d[inj] > nd {
 			d[inj] = nd
 		}
-		for _, p := range cg.In[from] {
-			if d[p] > nd && t.f.Sys.TurnAllowed(p, c) {
+		for _, p := range preds.list[preds.start[c]:preds.start[c+1]] {
+			if d[p] > nd {
 				d[p] = nd
-				queue = append(queue, int32(p))
+				queue = append(queue, p)
 			}
 		}
 	}
@@ -151,11 +176,7 @@ func (t *Table) Function() *Function { return t.f }
 // Distance returns the legal shortest path length (in channels) from src to
 // dst, or -1 if dst is unreachable from src. Distance(v, v) is 0.
 func (t *Table) Distance(src, dst int) int {
-	d := t.dist[dst*t.stride+t.numCh+src]
-	if d == unreachable {
-		return -1
-	}
-	return int(d)
+	return t.StateDistance(dst, InjectionState(src))
 }
 
 // distFrom returns the remaining distance to dst from a routing state:
@@ -166,6 +187,16 @@ func (t *Table) distFrom(dst, state int) int32 {
 		return t.dist[dst*t.stride+t.numCh+(^state)]
 	}
 	return t.dist[dst*t.stride+state]
+}
+
+// StateDistance returns the legal shortest path length from a routing
+// state (a channel id or InjectionState(v), as for NextChannels) to dst,
+// or -1 if dst is unreachable from it.
+func (t *Table) StateDistance(dst, state int) int {
+	if d := t.distFrom(dst, state); d != unreachable {
+		return int(d)
+	}
+	return -1
 }
 
 // InjectionState encodes node v's "not yet departed" routing state for use

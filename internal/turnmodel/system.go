@@ -77,60 +77,67 @@ func (s *System) successors(c int, buf []int) []int {
 // A nil result certifies deadlock freedom for wormhole switching under this
 // configuration (Dally–Seitz: an acyclic channel dependency graph suffices).
 func (s *System) FindTurnCycle() []int {
+	_, cyc := s.PostOrder()
+	return cyc
+}
+
+// PostOrder runs FindTurnCycle's search and, when it finds no cycle, also
+// returns the order in which the search finished the channels. Every
+// channel comes after all of its allowed successors, so the order is a
+// reverse topological order of the acyclic channel dependency graph: one
+// pass over it can fold any per-channel quantity over all successors. On a
+// cyclic configuration post is nil and cycle is what FindTurnCycle returns.
+//
+// The search is an iterative colored DFS. Each frame walks the
+// out-channels of its channel's sink with a cursor, skipping disallowed
+// turns, so successor lists are never materialized.
+func (s *System) PostOrder() (post []int32, cycle []int) {
 	n := len(s.Dirs)
-	// Iterative colored DFS: 0 = white, 1 = on stack, 2 = done.
+	post = make([]int32, 0, n)
+	// 0 = white, 1 = on stack, 2 = done.
 	color := make([]uint8, n)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	var succBuf []int
-	// frame stack: channel + index into its successor list. Successor lists
-	// are recomputed per expansion to avoid materializing the whole graph.
-	type frame struct {
-		c     int
-		succs []int
-		i     int
-	}
+	type frame struct{ c, i int }
 	var stack []frame
 	for start := 0; start < n; start++ {
 		if color[start] != 0 {
 			continue
 		}
 		color[start] = 1
-		succBuf = s.successors(start, succBuf[:0])
-		stack = append(stack[:0], frame{start, append([]int(nil), succBuf...), 0})
+		stack = append(stack[:0], frame{c: start})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.i >= len(f.succs) {
+			succs := s.CG.Out[s.CG.Channels[f.c].To]
+			if f.i == len(succs) {
 				color[f.c] = 2
+				post = append(post, int32(f.c))
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			nxt := f.succs[f.i]
+			nxt := succs[f.i]
 			f.i++
+			if !s.TurnAllowed(f.c, nxt) {
+				continue
+			}
 			switch color[nxt] {
 			case 0:
 				color[nxt] = 1
-				parent[nxt] = f.c
-				succBuf = s.successors(nxt, succBuf[:0])
-				stack = append(stack, frame{nxt, append([]int(nil), succBuf...), 0})
+				stack = append(stack, frame{c: nxt})
 			case 1:
-				// Back edge f.c -> nxt: reconstruct the cycle.
-				cyc := []int{f.c}
-				for v := f.c; v != nxt; {
-					v = parent[v]
-					cyc = append(cyc, v)
+				// Back edge f.c -> nxt: the stack from nxt's frame up to
+				// f.c's is the cycle, in traversal order.
+				k := len(stack) - 1
+				for stack[k].c != nxt {
+					k--
 				}
-				// Reverse into traversal order nxt ... f.c.
-				for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-					cyc[i], cyc[j] = cyc[j], cyc[i]
+				cycle = make([]int, 0, len(stack)-k)
+				for _, fr := range stack[k:] {
+					cycle = append(cycle, fr.c)
 				}
-				return cyc
+				return nil, cycle
 			}
 		}
 	}
-	return nil
+	return post, nil
 }
 
 // Acyclic reports whether the configuration is turn-cycle-free.
