@@ -96,8 +96,10 @@ func TestIrrouteFIBExport(t *testing.T) {
 	dir := t.TempDir()
 	fibFile := filepath.Join(dir, "net.fib")
 	out := run(t, "irroute", "-topo", "random", "-switches", "12", "-ports", "4", "-fib", fibFile)
-	if !strings.Contains(out, "bytes of forwarding state") {
-		t.Fatalf("irroute -fib output:\n%s", out)
+	for _, want := range []string{"bytes of distance state", "bytes of forwarding state"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("irroute -fib output missing %q:\n%s", want, out)
+		}
 	}
 	info, err := os.Stat(fibFile)
 	if err != nil || info.Size() == 0 {

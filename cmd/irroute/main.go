@@ -104,6 +104,7 @@ func main() {
 		fmt.Printf("path diversity  %.3f paths/pair (geometric mean); %d of %d pairs multipath; max %.0f\n",
 			d.MeanPaths, d.MultiPathPairs, d.Pairs, d.MaxPaths)
 	}
+	fmt.Printf("table         %d bytes of distance state\n", tb.SizeBytes())
 	if *fibOut != "" {
 		fb, err := fib.Compile(tb)
 		if err != nil {

@@ -130,38 +130,66 @@ func Compile(tb *routing.Table) (*FIB, error) {
 // every switch.
 func (f *FIB) compileTile(tb *routing.Table, turns []uint16, lo, hi int) {
 	cg := tb.Function().CG()
+	var buf [tile][]uint8
+	rows := buf[:hi-lo]
+	for j := range rows {
+		rows[j] = tb.DistRow(lo + j)
+	}
+	inj := cg.NumChannels() // row index of the injection state of switch 0
 	for v := 0; v < f.n; v++ {
 		outs := cg.Out[v]
-		fillTile(tb, f.table[v][lo:hi], routing.InjectionState(v), outs, 1<<uint(len(outs))-1, v, lo)
+		fillTile(tb, rows, f.table[v][lo:hi], routing.InjectionState(v), inj+v, outs, 1<<uint(len(outs))-1, v, lo)
 		for k, cIn := range cg.In[v] {
 			row := f.table[v][(k+1)*f.n:]
-			fillTile(tb, row[lo:hi], cIn, outs, turns[cIn], v, lo)
+			fillTile(tb, rows, row[lo:hi], cIn, cIn, outs, turns[cIn], v, lo)
 		}
 	}
 }
 
 // fillTile sets entries[j] to the shortest legal output ports toward
-// destination lo+j for a header at switch v in the given routing state,
-// which may leave on the ports in allowed.
-func fillTile(tb *routing.Table, entries []uint16, state int, outs []int, allowed uint16, v, lo int) {
+// destination lo+j, whose distance row is rows[j], for a header at switch
+// v in the given routing state (row index s), which may leave on the
+// ports in allowed.
+func fillTile(tb *routing.Table, rows [][]uint8, entries []uint16, state, s int, outs []int, allowed uint16, v, lo int) {
 	for j := range entries {
 		dst := lo + j
 		if dst == v {
 			continue // headers for the local processor never consult the FIB
 		}
-		d := tb.StateDistance(dst, state)
-		if d < 0 {
+		row := rows[j]
+		d := row[s]
+		if d == routing.DistFar {
+			entries[j] = farMask(tb, dst, state, outs, allowed)
 			continue
 		}
+		// d >= 1 since dst != v, and row[c]+1 wraps DistFar to 0, so only
+		// ports at exactly d-1 match.
 		var mask uint16
 		for m := allowed; m != 0; m &= m - 1 {
 			k := bits.TrailingZeros16(m)
-			if tb.StateDistance(dst, outs[k]) == d-1 {
+			if row[outs[k]]+1 == d {
 				mask |= 1 << uint(k)
 			}
 		}
 		entries[j] = mask
 	}
+}
+
+// farMask is fillTile's entry for a state whose distance byte is DistFar:
+// unreachable, or too far for a byte, so every distance is read exactly.
+func farMask(tb *routing.Table, dst, state int, outs []int, allowed uint16) uint16 {
+	d := tb.StateDistance(dst, state)
+	if d < 0 {
+		return 0
+	}
+	var mask uint16
+	for m := allowed; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros16(m)
+		if tb.StateDistance(dst, outs[k]) == d-1 {
+			mask |= 1 << uint(k)
+		}
+	}
+	return mask
 }
 
 // N returns the switch count.

@@ -20,6 +20,12 @@ func buildTable(t testing.TB, seed uint64, switches, ports int, alg routing.Algo
 	if err != nil {
 		t.Fatal(err)
 	}
+	return graphTable(t, g, alg)
+}
+
+// graphTable builds the verified table of alg on g's M1 tree.
+func graphTable(t testing.TB, g *topology.Graph, alg routing.Algorithm) *routing.Table {
+	t.Helper()
 	tr, err := ctree.Build(g, ctree.M1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +333,8 @@ func fibBytes(t *testing.T, f *FIB) []byte {
 // TestCompileMatchesReference pins Compile to compileRef byte for byte
 // across the five algorithms, sizes that do and do not fill the last
 // destination tile, a mask that disconnects the network (unreachable
-// entries), and one and four goroutines.
+// entries), Ring(600) and Line(300), whose distances above 254 take the
+// table's far escape, and one and four goroutines.
 func TestCompileMatchesReference(t *testing.T) {
 	var tables []*routing.Table
 	for _, alg := range []routing.Algorithm{core.DownUp{}, routing.LTurn{}, routing.UpDown{},
@@ -344,6 +351,11 @@ func TestCompileMatchesReference(t *testing.T) {
 		t.Fatal("frozen mask unexpectedly connected")
 	}
 	tables = append(tables, routing.NewTable(frozen))
+	for _, g := range []*topology.Graph{topology.Ring(600), topology.Line(300)} {
+		for _, alg := range []routing.Algorithm{routing.UpDown{}, core.DownUp{}} {
+			tables = append(tables, graphTable(t, g, alg))
+		}
+	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tb := range tables {

@@ -38,31 +38,28 @@ const CountCap = 1e12
 // their counts. States are processed in increasing distance-to-destination
 // order, so each count is final when read.
 func (t *Table) PathDiversity() (*Diversity, error) {
-	cg := t.f.Sys.CG
 	n := t.n
 	div := &Diversity{}
 	counts := make([]float64, t.stride)
-	order := make([]int32, 0, t.stride)
+	// buckets[d] lists the states at distance d from the current
+	// destination, a counting sort reused across destinations.
+	var buckets [][]int32
+	var buf []int
 	var logSum float64
 
 	for dst := 0; dst < n; dst++ {
-		base := dst * t.stride
-		order = order[:0]
+		for d := range buckets {
+			buckets[d] = buckets[d][:0]
+		}
 		for s := 0; s < t.stride; s++ {
-			if t.dist[base+s] != unreachable {
-				order = append(order, int32(s))
+			d := t.at(dst, s)
+			if d < 0 {
+				continue
 			}
-		}
-		// Sort states by distance (counting sort over small distances).
-		maxD := int32(0)
-		for _, s := range order {
-			if d := t.dist[base+int(s)]; d > maxD {
-				maxD = d
+			for len(buckets) <= d {
+				buckets = append(buckets, nil)
 			}
-		}
-		buckets := make([][]int32, maxD+1)
-		for _, s := range order {
-			buckets[t.dist[base+int(s)]] = append(buckets[t.dist[base+int(s)]], s)
+			buckets[d] = append(buckets[d], int32(s))
 		}
 		for i := range counts {
 			counts[i] = 0
@@ -71,8 +68,7 @@ func (t *Table) PathDiversity() (*Diversity, error) {
 		for _, s := range buckets[0] {
 			counts[s] = 1
 		}
-		var buf []int
-		for d := int32(1); d <= maxD; d++ {
+		for d := 1; d < len(buckets); d++ {
 			for _, s := range buckets[d] {
 				state := int(s)
 				if state >= t.numCh {
@@ -113,6 +109,5 @@ func (t *Table) PathDiversity() (*Diversity, error) {
 	if div.Pairs > 0 {
 		div.MeanPaths = math.Exp(logSum / float64(div.Pairs))
 	}
-	_ = cg
 	return div, nil
 }

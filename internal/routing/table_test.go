@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -40,21 +41,68 @@ func TestDistanceLineUpDown(t *testing.T) {
 
 // TestNewTableParallelIdentical pins that the goroutine count NewTable
 // fans destinations across never changes the table: every row is computed
-// in isolation, so one worker and many must produce identical dist arrays.
+// in isolation, so one worker and many must produce identical distance
+// bytes and far lists. Ring(600) under up*/down* has distances up to 599,
+// so its rows take the far escape.
 func TestNewTableParallelIdentical(t *testing.T) {
-	cg := randomCG(t, 7, 60, 4)
-	for _, alg := range []Algorithm{UpDown{}, LTurn{}} {
-		f, err := alg.Build(cg)
+	random := randomCG(t, 7, 60, 4)
+	ring := buildCG(t, topology.Ring(600), ctree.M1, nil)
+	for _, c := range []struct {
+		cg  *cgraph.CG
+		alg Algorithm
+	}{{random, UpDown{}}, {random, LTurn{}}, {ring, UpDown{}}} {
+		f, err := c.alg.Build(c.cg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seq := newTableN(f, 1)
+		if c.cg == ring && seq.far == nil {
+			t.Fatal("Ring(600) table has no far entries")
+		}
 		for _, workers := range []int{2, 8, 128} {
 			par := newTableN(f, workers)
-			if !reflect.DeepEqual(seq.dist, par.dist) {
-				t.Fatalf("%s: table with %d workers differs from sequential", f.AlgorithmName, workers)
+			if !reflect.DeepEqual(seq.dist, par.dist) || !reflect.DeepEqual(seq.far, par.far) {
+				t.Fatalf("%s on %d switches: table with %d workers differs from sequential",
+					f.AlgorithmName, c.cg.N(), workers)
 			}
 		}
+	}
+}
+
+// TestFarPaths runs the path consumers on Ring(600) under up*/down*,
+// where many distances exceed a byte: sampled and fixed paths must be
+// legal and as long as Distance says, and the path counts must be the
+// ones the int32 table gave (two pairs have two shortest paths).
+func TestFarPaths(t *testing.T) {
+	tb := tableFor(t, buildCG(t, topology.Ring(600), ctree.M1, nil), UpDown{})
+	r := rng.New(3)
+	far := 0
+	for trial := 0; trial < 300; trial++ {
+		src, dst := r.Intn(600), r.Intn(600)
+		if tb.Distance(src, dst) >= DistFar {
+			far++
+		}
+		path, err := tb.SamplePath(src, dst, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		validatePath(t, tb, src, dst, path)
+		if path, err = tb.FixedPath(src, dst); err != nil {
+			t.Fatal(err)
+		}
+		validatePath(t, tb, src, dst, path)
+	}
+	if far == 0 {
+		t.Fatal("no sampled pair is farther than a byte holds")
+	}
+	div, err := tb.PathDiversity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Diversity{MeanPaths: math.Exp(2 * math.Ln2 / 359400), MultiPathPairs: 2, Pairs: 359400, MaxPaths: 2}
+	if div.Pairs != want.Pairs || div.MultiPathPairs != want.MultiPathPairs || div.MaxPaths != want.MaxPaths ||
+		math.Abs(div.MeanPaths-want.MeanPaths) > 1e-12 {
+		t.Fatalf("PathDiversity = %+v, want %+v", *div, want)
 	}
 }
 
@@ -230,9 +278,9 @@ func TestNextChannelsConsistency(t *testing.T) {
 			if len(buf) == 0 {
 				t.Fatalf("dead end %d->%d at %d", src, dst, here)
 			}
-			d := tb.distFrom(dst, state)
+			d := tb.StateDistance(dst, state)
 			for _, c := range buf {
-				if tb.distFrom(dst, c) != d-1 {
+				if tb.StateDistance(dst, c) != d-1 {
 					t.Fatalf("candidate does not decrease distance")
 				}
 			}

@@ -6,6 +6,8 @@ package routing_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cgraph"
@@ -184,24 +186,126 @@ func refDistances(f *routing.Function, dst int) []int {
 	return d
 }
 
+// farCases are networks whose legal distances do not fit the table's
+// distance byte: on Ring(600) a packet may not U-turn, so a channel state
+// heading away from its destination goes 599 hops around, and Line(300)
+// has 299-hop pairs. Both run under up*/down* and DOWN/UP.
+func farCases(t *testing.T) []oracleCase {
+	t.Helper()
+	var cases []oracleCase
+	for _, g := range []*topology.Graph{topology.Ring(600), topology.Line(300)} {
+		tr, err := ctree.Build(g, ctree.M1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cg := cgraph.Build(tr)
+		for _, alg := range []routing.Algorithm{routing.UpDown{}, core.DownUp{}} {
+			f, err := alg.Build(cg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, oracleCase{fmt.Sprintf("far/%dsw/%s", g.N(), alg.Name()), f})
+		}
+	}
+	return cases
+}
+
+// states lists every routing state of cg with its row index: channels,
+// then one injection state per node.
+func states(cg *cgraph.CG) []int {
+	s := make([]int, 0, cg.NumChannels()+cg.N())
+	for c := 0; c < cg.NumChannels(); c++ {
+		s = append(s, c)
+	}
+	for v := 0; v < cg.N(); v++ {
+		s = append(s, routing.InjectionState(v))
+	}
+	return s
+}
+
 // TestNewTableMatchesReference pins every state distance of NewTable to
-// the TurnAllowed reference BFS on every oracle case, connected or not.
+// the TurnAllowed reference BFS on every oracle case, connected or not,
+// and on the far cases, whose distances above 254 take the table's far
+// escape.
 func TestNewTableMatchesReference(t *testing.T) {
-	for _, c := range oracleCases(t) {
+	for _, c := range append(oracleCases(t), farCases(t)...) {
 		tb := routing.NewTable(c.f)
 		cg := c.f.Sys.CG
-		numCh := cg.NumChannels()
+		all := states(cg)
+		maxD := 0
 		for dst := 0; dst < cg.N(); dst++ {
 			for s, want := range refDistances(c.f, dst) {
-				state := s
-				if s >= numCh {
-					state = routing.InjectionState(s - numCh)
-				}
-				if got := tb.StateDistance(dst, state); got != want {
+				if got := tb.StateDistance(dst, all[s]); got != want {
 					t.Fatalf("%s: dst %d state %d: distance %d, reference %d", c.name, dst, s, got, want)
+				}
+				maxD = max(maxD, want)
+			}
+		}
+		if strings.HasPrefix(c.name, "far/") && maxD < routing.DistFar {
+			t.Fatalf("%s: longest distance %d fits a byte; the far escape is not exercised", c.name, maxD)
+		}
+	}
+}
+
+// TestNextChannelsMatchesReference pins NextChannels on the far cases,
+// for every state and destination, to the out-channels whose reference
+// distance is one less and whose turn is allowed, in cg.Out order.
+func TestNextChannelsMatchesReference(t *testing.T) {
+	for _, c := range farCases(t) {
+		tb := routing.NewTable(c.f)
+		cg := c.f.Sys.CG
+		all := states(cg)
+		var got, want []int
+		for dst := 0; dst < cg.N(); dst++ {
+			ref := refDistances(c.f, dst)
+			for s, state := range all {
+				here := ^state
+				if state >= 0 {
+					here = cg.Channels[state].To
+				}
+				// ref[s] <= 0: already arrived, or unreachable.
+				want = want[:0]
+				for _, out := range cg.Out[here] {
+					if ref[s] > 0 && ref[out] == ref[s]-1 && (state < 0 || c.f.Sys.TurnAllowed(state, out)) {
+						want = append(want, out)
+					}
+				}
+				if got = tb.NextChannels(dst, state, got[:0]); !slices.Equal(got, want) {
+					t.Fatalf("%s: dst %d state %d (distance %d): NextChannels %v, reference %v",
+						c.name, dst, state, ref[s], got, want)
 				}
 			}
 		}
+	}
+}
+
+// TestTableSizeBytes pins SizeBytes to one byte per (destination, state)
+// at 512x8, where every distance fits a byte, and to that plus eight
+// bytes per distance above 254 on a far case.
+func TestTableSizeBytes(t *testing.T) {
+	cg := oracleCG(t, 1, 512, 8, ctree.M1, core.DownUp{})
+	f, err := core.DownUp{}.Build(cg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cg.N()
+	if got, want := routing.NewTable(f).SizeBytes(), n*(cg.NumChannels()+n); got != want {
+		t.Fatalf("512x8: SizeBytes %d, want n*(numCh+n) = %d", got, want)
+	}
+	far := farCases(t)[0]
+	tb := routing.NewTable(far.f)
+	cg = far.f.Sys.CG
+	n = cg.N()
+	want := n * (cg.NumChannels() + n)
+	for dst := 0; dst < n; dst++ {
+		for _, state := range states(cg) {
+			if tb.StateDistance(dst, state) >= routing.DistFar {
+				want += 8
+			}
+		}
+	}
+	if got := tb.SizeBytes(); got != want {
+		t.Fatalf("%s: SizeBytes %d, want %d", far.name, got, want)
 	}
 }
 
@@ -215,25 +319,23 @@ func allocated(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestVerifyAllocatesUnderTenthOfTable checks that Verify does not build
-// the all-pairs table: at 512x8 it must allocate under 10% of what
-// NewTable does.
-func TestVerifyAllocatesUnderTenthOfTable(t *testing.T) {
+// TestVerifyAllocatesUnderQuarterOfTable checks that Verify does not
+// build the all-pairs table: at 512x8 it must allocate under a quarter of
+// n*(numCh+n) bytes, less than any table of one byte per entry.
+func TestVerifyAllocatesUnderQuarterOfTable(t *testing.T) {
 	cg := oracleCG(t, 1, 512, 8, ctree.M1, core.DownUp{})
 	f, err := core.DownUp{}.Build(cg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tb *routing.Table
-	tableBytes := allocated(func() { tb = routing.NewTable(f) })
-	runtime.KeepAlive(tb)
+	entries := uint64(cg.N() * (cg.NumChannels() + cg.N()))
 	verifyBytes := allocated(func() { err = f.Verify() })
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("Verify %d B, NewTable %d B", verifyBytes, tableBytes)
-	if verifyBytes*10 >= tableBytes {
-		t.Fatalf("Verify allocated %d B, not under 10%% of NewTable's %d B", verifyBytes, tableBytes)
+	t.Logf("Verify %d B, table entries %d", verifyBytes, entries)
+	if verifyBytes*4 >= entries {
+		t.Fatalf("Verify allocated %d B, not under a quarter of the table's %d entries", verifyBytes, entries)
 	}
 }
 
