@@ -13,7 +13,9 @@ import (
 )
 
 // benchConfigs are the network shapes the perf pipeline tracks: the paper's
-// 128-switch networks at both port counts, under paper-scale load.
+// 128-switch networks at both port counts, under paper-scale load, plus the
+// 8-port network at the top of the paper's rate grid, far past saturation,
+// where almost every occupied lane sleeps on a wait list.
 var benchConfigs = []struct {
 	name  string
 	ports int
@@ -21,6 +23,7 @@ var benchConfigs = []struct {
 }{
 	{"128sw-4port", 4, 0.1},
 	{"128sw-8port", 8, 0.1},
+	{"128sw-8port-sat", 8, 0.65},
 }
 
 func BenchmarkRunCycles(b *testing.B) {
@@ -168,5 +171,51 @@ func TestSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("steady-state cycle allocates: %v allocs/cycle, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestEventWorkBounded pins the event engine's work to the flits that
+// move, on one saturated paper-scale cell (128 switches, 8 ports, 128-flit
+// worms at 0.65 flits/clock/node, where almost every occupied lane holds a
+// blocked worm): blocked lanes and sources must sleep on their wait lists
+// instead of being retried every cycle. A lane visit is one switchEvent
+// visit of an active lane; a flit moved is one switch traversal (a
+// TraceMove onto a non-injection lane). The counts are deterministic, so
+// the bounds are exact. An engine that retries blocked lanes and sources
+// every cycle makes 1.90 lane visits per flit moved and 2.37 source visits
+// per flit injected on this cell; this one makes 1.15 and 1.01.
+func TestEventWorkBounded(t *testing.T) {
+	f, tb := randomFn(t, 1, 128, 8, core.DownUp{})
+	sim, err := New(f, tb, Config{
+		InjectionRate: 0.65,
+		WarmupCycles:  1000,
+		MeasureCycles: 4000,
+		Seed:          1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moved int64
+	injBase := sim.injVCL(0)
+	sim.TraceMove = func(vcl, _, _ int32) {
+		if vcl < injBase || vcl >= injBase+int32(sim.n) {
+			moved++
+		}
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes, feeds := sim.ev.laneVisits, sim.ev.feedVisits
+	t.Logf("lane visits %d / flits moved %d = %.3f; feed visits %d / flits injected %d = %.3f",
+		lanes, moved, float64(lanes)/float64(moved), feeds, res.FlitsInjected, float64(feeds)/float64(res.FlitsInjected))
+	if moved == 0 || res.FlitsInjected == 0 {
+		t.Fatal("saturated cell moved no flits")
+	}
+	if float64(lanes) > 1.35*float64(moved) {
+		t.Errorf("lane visits %d > 1.35 x flits moved %d: blocked lanes are being polled", lanes, moved)
+	}
+	if float64(feeds) > 1.1*float64(res.FlitsInjected) {
+		t.Errorf("feed visits %d > 1.1 x flits injected %d: blocked sources are being polled", feeds, res.FlitsInjected)
 	}
 }

@@ -111,6 +111,7 @@ func (s *Simulator) laneInfo(l int32, pkt int32) BlockedVC {
 func (s *Simulator) waitGraph(minStall int32) (waits map[int32][]int32, blockedPkt map[int32]int32) {
 	waits = make(map[int32][]int32)
 	blockedPkt = make(map[int32]int32)
+	var wants []int32
 	for v := 0; v < s.n; v++ {
 		for _, li := range s.inVCLs[v] {
 			b := &s.bufs[li]
@@ -121,7 +122,7 @@ func (s *Simulator) waitGraph(minStall int32) (waits map[int32][]int32, blockedP
 			if s.now-f.arrived < minStall {
 				continue
 			}
-			wants := s.wantedLanes(v, li, f)
+			wants = s.appendWantedLanes(wants[:0], v, li, f)
 			var blockers []int32
 			for _, out := range wants {
 				if s.owner[out] != noOwner && s.owner[out] != f.pkt {
@@ -158,38 +159,41 @@ func (s *Simulator) deadlockInfo() *DeadlockInfo {
 	return info
 }
 
-// wantedLanes returns the lanes the head flit on li at switch v needs to
-// advance.
-func (s *Simulator) wantedLanes(v int, li int32, f *flit) []int32 {
+// appendWantedLanes appends to dst the lanes the head flit f on li at
+// switch v needs to advance — one of them for a header, its packet's held
+// output for a body flit. It is the one definition of the wait-for relation:
+// the deadlock detector builds its graph from it, and the event engine
+// sleeps a blocked lane on exactly these outputs. It allocates nothing once
+// dst and the routing scratch have grown.
+func (s *Simulator) appendWantedLanes(dst []int32, v int, li int32, f *flit) []int32 {
 	if f.idx != 0 {
 		if out := s.nextOut[li]; out != noVCL {
-			return []int32{out}
+			dst = append(dst, out)
 		}
-		return nil
+		return dst
 	}
 	p := &s.packets[f.pkt]
 	if int32(v) == p.dst {
-		return []int32{s.ejectVCL(v)}
+		return append(dst, s.ejectVCL(v))
 	}
-	var wants []int32
 	switch s.cfg.Mode {
 	case SourceRouted, Deterministic:
 		if p.hop < int32(len(p.route)) {
 			ch := int(p.route[p.hop])
 			for vc := 0; vc < s.nVC; vc++ {
-				wants = append(wants, int32(ch*s.nVC+vc))
+				dst = append(dst, int32(ch*s.nVC+vc))
 			}
 		}
 	default: // Adaptive
 		state := routingStateOf(v, s.vclChannel(li))
-		cands := s.tb.NextChannels(int(p.dst), state, nil)
-		for _, ch := range cands {
+		s.candBuf = s.tb.NextChannels(int(p.dst), state, s.candBuf[:0])
+		for _, ch := range s.candBuf {
 			for vc := 0; vc < s.nVC; vc++ {
-				wants = append(wants, int32(ch*s.nVC+vc))
+				dst = append(dst, int32(ch*s.nVC+vc))
 			}
 		}
 	}
-	return wants
+	return dst
 }
 
 // findWaitCycle extracts one cycle from the wait-for graph via iterative

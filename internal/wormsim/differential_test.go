@@ -52,6 +52,26 @@ func driveKills(total int) diffDrive {
 	}
 }
 
+// driveRewire installs, a third of the way in and without draining, the
+// routing function alg builds on the simulator's own channel graph: in
+// adaptive mode every buffered header's candidate set changes under it.
+func driveRewire(total int, alg routing.Algorithm) diffDrive {
+	return func(sim *Simulator) (*Result, error) {
+		if err := sim.RunCycles(total / 3); err != nil {
+			return sim.Finish(), err
+		}
+		f, err := alg.Build(sim.cg)
+		if err != nil {
+			return sim.Finish(), err
+		}
+		sim.Rewire(routing.NewTable(f))
+		if err := sim.RunCycles(total - total/3); err != nil {
+			return sim.Finish(), err
+		}
+		return sim.Finish(), nil
+	}
+}
+
 func TestEnginesByteIdentical(t *testing.T) {
 	base := Config{
 		PacketLength:  32,
@@ -78,6 +98,22 @@ func TestEnginesByteIdentical(t *testing.T) {
 	bigNet := func(seed uint64, ports int, alg routing.Algorithm) func(t *testing.T) (*routing.Function, *routing.Table) {
 		return func(t *testing.T) (*routing.Function, *routing.Table) {
 			return randomFn(t, seed, 256, ports, alg)
+		}
+	}
+	// wideNet gives some switch more than 64 input lanes at 8 virtual
+	// channels (10 ports x 8 VCs + injection), so the event engine's lane
+	// and waiter masks span several words.
+	wideNet := func(seed uint64) func(t *testing.T) (*routing.Function, *routing.Table) {
+		return func(t *testing.T) (*routing.Function, *routing.Table) {
+			f, tb := randomFn(t, seed, 32, 10, core.DownUp{})
+			wide := false
+			for v := 0; v < f.CG().N(); v++ {
+				wide = wide || len(f.CG().In[v])*8+1 > 64
+			}
+			if !wide {
+				t.Fatal("no switch has more than 64 input lanes at 8 virtual channels")
+			}
+			return f, tb
 		}
 	}
 	recoverRing := recoveringRingConfig()
@@ -162,10 +198,37 @@ func TestEnginesByteIdentical(t *testing.T) {
 			c.Select = SelectFirst
 			c.MeasureCycles = 2000
 		})},
+		{name: "wide/8vc-source-routed-sat", build: wideNet(23), cfg: at(func(c *Config) {
+			c.VirtualChannels = 8
+			c.InjectionRate = 0.6
+		})},
+		{name: "wide/8vc-adaptive-sat", build: wideNet(24), cfg: at(func(c *Config) {
+			c.Mode = Adaptive
+			c.VirtualChannels = 8
+			c.InjectionRate = 0.6
+		})},
+		{name: "wide/8vc-faults", build: wideNet(25), cfg: at(func(c *Config) {
+			c.Mode = Adaptive
+			c.VirtualChannels = 8
+			c.BufferDepth = 2
+			c.InjectionRate = 0.6
+		}), drive: driveKills(base.WarmupCycles + base.MeasureCycles)},
+		{name: "rewire/adaptive-live", build: net(29, 4, core.DownUp{}), cfg: at(func(c *Config) {
+			c.Mode = Adaptive
+			c.InjectionRate = 0.6
+		}), drive: driveRewire(base.WarmupCycles+base.MeasureCycles, routing.UpDown{})},
+		// The paper's Figure 8 regime: 128 switches, 8 ports, 128-flit worms
+		// at the top of its rate grid, far past saturation.
+		{name: "paper/128sw-8port-sat", build: func(t *testing.T) (*routing.Function, *routing.Table) {
+			return randomFn(t, 26, 128, 8, core.DownUp{})
+		}, cfg: at(func(c *Config) {
+			c.PacketLength = 128
+			c.InjectionRate = 0.65
+		})},
 	}
 
-	if len(scenarios) < 26 {
-		t.Fatalf("differential matrix shrank to %d scenarios; keep it at >= 26", len(scenarios))
+	if len(scenarios) < 32 {
+		t.Fatalf("differential matrix shrank to %d scenarios; keep it at >= 32", len(scenarios))
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {

@@ -2,8 +2,10 @@ package wormsim
 
 // The event-driven engine (Config.Engine == EngineEvent). The scan engine
 // walks every virtual-channel lane of every switch on every cycle; almost
-// all of those visits find an empty buffer and do nothing. This engine
-// tracks exactly the places where work can happen and visits only those:
+// all of those visits find an empty buffer or a head flit that cannot
+// move, and do nothing. This engine visits a lane only when its head flit
+// may be able to move, so its cost is O(flits that move), not O(occupied
+// lanes):
 //
 //   - filled-wire worklists: a wire holds a flit for exactly one cycle
 //     (credit-based flow control reserves the downstream buffer before the
@@ -14,24 +16,39 @@ package wormsim
 //     the order switchStage fills them in), one for everything else —
 //     replace the O(channels) wire scans.
 //
-//   - active-lane bitmasks: a per-switch bitmask over its input lanes
-//     (set on buffer push, cleared when a visit finds the buffer empty)
-//     plus a bitmask over switches with any active lane replace the
-//     O(channels x VCs) crossbar scan. Blocked lanes stay active — a head
-//     flit waiting on credit must be retried every cycle — so the cost is
-//     O(occupied lanes), the quantity the paper's own saturation story is
-//     about.
+//   - active-lane bitmasks: a per-switch bitmask over its input lanes plus
+//     a bitmask over switches with any active lane replace the O(channels x
+//     VCs) crossbar scan. A lane becomes active when a flit lands in its
+//     empty buffer, and leaves the set when a visit finds its buffer empty.
 //
-//   - an active-source bitmask: nodes whose source queue holds a packet.
+//   - per-output wait lists: a lane whose head flit cannot move, and whose
+//     every wanted output (appendWantedLanes, the wait-for relation the
+//     deadlock detector uses) is blocked for a persistent reason — owned by
+//     another packet, or its downstream buffer full — leaves the active set
+//     and sleeps on waiters[out] of each wanted output. Exactly two events
+//     end those reasons, and each wakes its list: a pop from bufs[out] in
+//     the switch stage (a credit returns) and a tail flit releasing
+//     owner[out]. A wire filled earlier in the same cycle, a dead wire and
+//     a flit that arrived this cycle are transient or rare: such lanes stay
+//     active and are retried every cycle. Flits landing behind a sleeping
+//     head do not wake it; the head's situation has not changed.
+//
+//   - an active-source bitmask: nodes whose source queue holds a packet. A
+//     source whose injection buffer is full sleeps on srcWait instead, and
+//     its switch popping the injection lane wakes it. The switch stage runs
+//     before the feed stage, so the woken source feeds in the same cycle,
+//     as under the scan engine.
 //
 // Everything is flat slice-backed — no maps, no per-cycle allocation in
-// steady state (enforced by TestSteadyStateAllocs).
+// steady state (enforced by TestSteadyStateAllocs). Switches with more
+// than 64 input lanes use multi-word lane and waiter masks.
 //
 // Determinism is the hard constraint (the differential tests compare both
 // engines byte for byte). The invariants that make the engines identical:
 //
-//   - Visiting an idle resource in the scan engine has no side effects and
-//     draws no randomness, so skipping it cannot change the schedule.
+//   - Visiting an idle or blocked resource in the scan engine has no side
+//     effects and draws no randomness, so skipping it cannot change the
+//     schedule.
 //   - Active resources are visited in the scan engine's order: lanes in
 //     each switch's round-robin order (the round-robin pointer advances
 //     once per cycle unconditionally in the scan engine, so it equals
@@ -39,10 +56,16 @@ package wormsim
 //     and sources in ascending order, ejection wires in ascending node
 //     order.
 //   - Membership is conservative: a lane/wire/source may be listed with
-//     nothing to do (the shared per-item bodies re-check and no-op, which
-//     also absorbs fault injection and recovery aborts that drain
-//     resources between cycles), but anything with work to do is always
-//     listed.
+//     nothing to do (the shared per-item bodies re-check and no-op), but
+//     anything that can move is always listed when the scan engine would
+//     reach it. Three ordering rules keep wakeups in step with the scan:
+//     (1) switchStageEvent re-reads the current switchWords word after each
+//     switch, so a credit returned by switch u < v lets v move in the same
+//     cycle; (2) switchEvent decides "idle" from the lane mask after its
+//     loop, because a tail release can wake a lane it already visited; (3)
+//     every out-of-band mutator — removePacketFlits (fault drops,
+//     DropInFlight, recovery aborts) and Rewire, which changes adaptive
+//     candidate sets — calls wakeAll.
 
 import "math/bits"
 
@@ -56,14 +79,21 @@ type evState struct {
 	laneSwitch []int32
 	lanePos    []int32
 	// laneWords[v] is the active-lane bitmask of switch v, one bit per
-	// entry of inVCLs[v]: set when the lane's buffer may be non-empty.
+	// entry of inVCLs[v]: set while the lane may be able to move a flit.
 	laneWords [][]uint64
+	// waiters[out] is the bitmask, laid out like laneWords[waitSwitch[out]],
+	// of the lanes asleep until output lane out frees up; nil for injection
+	// lanes, whose only waiter is their node's source (srcWait).
+	waiters    [][]uint64
+	waitSwitch []int32
 	// switchWords is the active-switch bitmask: set while any lane bit of
 	// the switch is set.
 	switchWords []uint64
 	// srcWords is the active-source bitmask: set while the node's source
-	// queue may hold a packet.
+	// queue may hold a packet it can feed. srcWait holds the sources asleep
+	// on a full injection buffer.
 	srcWords []uint64
+	srcWait  []uint64
 	// fillEject/fillOther collect the wires filled during the current cycle
 	// (ejection wires separately: their consumption order is the delivery
 	// order, which must be ascending by node); readyEject/readyOther are
@@ -73,10 +103,16 @@ type evState struct {
 	// fills v's ejection wire), matching the scan engine's delivery order.
 	fillEject, fillOther   []int32
 	readyEject, readyOther []int32
-	// ejBase is the first ejection wire index (nCh + n).
-	ejBase int32
-	// ord is the per-switch round-robin scratch of switchEvent.
-	ord []int32
+	// ejBase is the first ejection wire index (nCh + n); injBase is the
+	// first injection vclane (nCh * nVC).
+	ejBase, injBase int32
+	// ord is the per-switch round-robin scratch of switchEvent; want is the
+	// wanted-output scratch of a sleeping lane.
+	ord, want []int32
+	// laneVisits and feedVisits count switchEvent lane visits and
+	// feedInjectionEvent source visits; the work-count regression test pins
+	// them against the flits moved and injected.
+	laneVisits, feedVisits int64
 }
 
 // newEvState builds the scheduling state for s; all sets start empty to
@@ -86,13 +122,18 @@ func newEvState(s *Simulator) *evState {
 		laneSwitch:  make([]int32, s.vcls),
 		lanePos:     make([]int32, s.vcls),
 		laneWords:   make([][]uint64, s.n),
+		waiters:     make([][]uint64, s.vcls),
+		waitSwitch:  make([]int32, s.vcls),
 		switchWords: make([]uint64, (s.n+63)/64),
 		srcWords:    make([]uint64, (s.n+63)/64),
+		srcWait:     make([]uint64, (s.n+63)/64),
 		ejBase:      int32(s.nCh + s.n),
+		injBase:     int32(s.nCh * s.nVC),
 	}
 	for i := range ev.laneSwitch {
 		ev.laneSwitch[i] = -1
 		ev.lanePos[i] = -1
+		ev.waitSwitch[i] = -1
 	}
 	for v := 0; v < s.n; v++ {
 		lanes := s.inVCLs[v]
@@ -102,16 +143,74 @@ func newEvState(s *Simulator) *evState {
 			ev.lanePos[li] = int32(p)
 		}
 	}
+	// Only lanes of an output's own switch can wait on it: the channel's
+	// source switch, or v itself for v's ejection lane.
+	for c, ch := range s.cg.Channels {
+		for vc := 0; vc < s.nVC; vc++ {
+			ev.waitSwitch[c*s.nVC+vc] = int32(ch.From)
+		}
+	}
+	for v := 0; v < s.n; v++ {
+		ev.waitSwitch[s.ejectVCL(v)] = int32(v)
+	}
+	total := 0
+	for _, u := range ev.waitSwitch {
+		if u >= 0 {
+			total += len(ev.laneWords[u])
+		}
+	}
+	backing := make([]uint64, total)
+	for out, u := range ev.waitSwitch {
+		if u >= 0 {
+			k := len(ev.laneWords[u])
+			ev.waiters[out], backing = backing[:k:k], backing[k:]
+		}
+	}
 	return ev
 }
 
-// markLane wakes the input lane li (its buffer just received a flit) and
-// the switch owning it.
+// markLane wakes the input lane li and the switch owning it.
 func (ev *evState) markLane(li int32) {
 	v := ev.laneSwitch[li]
 	p := ev.lanePos[li]
 	ev.laneWords[v][p>>6] |= 1 << (uint(p) & 63)
 	ev.switchWords[v>>6] |= 1 << (uint(v) & 63)
+}
+
+// wake moves every lane asleep on output lane out back into the active
+// set.
+func (ev *evState) wake(out int32) {
+	ws := ev.waiters[out]
+	var woke uint64
+	for _, w := range ws {
+		woke |= w
+	}
+	if woke == 0 {
+		return
+	}
+	u := ev.waitSwitch[out]
+	lw := ev.laneWords[u]
+	for i, w := range ws {
+		lw[i] |= w
+		ws[i] = 0
+	}
+	ev.switchWords[u>>6] |= 1 << (uint(u) & 63)
+}
+
+// credit reports a flit popped from input lane li's buffer: the space it
+// frees wakes the upstream lanes asleep on li or, for an injection lane,
+// the node's source.
+func (ev *evState) credit(li int32) {
+	if li < ev.injBase {
+		ev.wake(li)
+		return
+	}
+	v := li - ev.injBase
+	bit := uint64(1) << (uint(v) & 63)
+	if ev.srcWait[v>>6]&bit != 0 {
+		ev.srcWait[v>>6] &^= bit
+		ev.srcWords[v>>6] |= bit
+	}
 }
 
 // noteFill records that wire w was filled this cycle, scheduling its
@@ -126,9 +225,34 @@ func (ev *evState) noteFill(w int32) {
 }
 
 // markSource wakes node v's injection feed (its queue just received a
-// packet).
+// packet). A source asleep on its full injection buffer stays asleep: the
+// new packet queues behind the one that is already waiting.
 func (ev *evState) markSource(v int) {
-	ev.srcWords[v>>6] |= 1 << (uint(v) & 63)
+	bit := uint64(1) << (uint(v) & 63)
+	if ev.srcWait[v>>6]&bit == 0 {
+		ev.srcWords[v>>6] |= bit
+	}
+}
+
+// wakeAll puts every lane holding flits and every source with a queued
+// packet back into the active sets. Out-of-band mutators call it: they can
+// free buffers and output lanes, or change what a head flit wants, without
+// passing through the two wakeup sites of the switch stage.
+func (s *Simulator) wakeAll() {
+	ev := s.ev
+	for _, lanes := range s.inVCLs {
+		for _, li := range lanes {
+			if !s.bufs[li].empty() {
+				ev.markLane(li)
+			}
+		}
+	}
+	clear(ev.srcWait)
+	for v := range s.queues {
+		if s.qHead[v] < len(s.queues[v]) {
+			ev.markSource(v)
+		}
+	}
 }
 
 // stepEvent runs one cycle under the event-driven engine: the same stage
@@ -150,24 +274,28 @@ func (s *Simulator) stepEvent() {
 }
 
 // switchStageEvent visits every switch with at least one active input
-// lane, in ascending order.
+// lane, in ascending order. It re-reads the current mask word after each
+// switch: a credit returned by this switch can wake a higher-numbered one,
+// which the scan engine would let move in this same cycle.
 func (s *Simulator) switchStageEvent() {
 	ev := s.ev
-	for wi, word := range ev.switchWords {
+	for wi := range ev.switchWords {
 		base := wi << 6
-		for word != 0 {
-			v := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			if s.switchEvent(v) {
-				ev.switchWords[wi] &^= 1 << (uint(v) & 63)
+		for word := ev.switchWords[wi]; word != 0; {
+			b := bits.TrailingZeros64(word)
+			if s.switchEvent(base + b) {
+				ev.switchWords[wi] &^= 1 << uint(b)
 			}
+			word = ev.switchWords[wi] & (^uint64(1) << uint(b))
 		}
 	}
 }
 
 // switchEvent runs the crossbar stage of one switch over its active lanes
-// in round-robin order, pruning lanes whose buffers turn out (or end up)
-// empty. It reports whether the switch went fully idle.
+// in round-robin order, dropping lanes whose buffers turn out empty and
+// putting lanes to sleep whose head flit is persistently blocked. It
+// reports whether the switch went fully idle, judged from the lane mask
+// after the loop: a tail release can wake a lane already visited.
 func (s *Simulator) switchEvent(v int) bool {
 	ev := s.ev
 	lanes := s.inVCLs[v]
@@ -176,21 +304,55 @@ func (s *Simulator) switchEvent(v int) bool {
 	ord := appendSetBits(ev.ord[:0], words, start, len(lanes))
 	ord = appendSetBits(ord, words, 0, start)
 	ev.ord = ord
-	idle := true
+	ev.laneVisits += int64(len(ord))
 	for _, p := range ord {
 		li := lanes[p]
-		s.tryForward(v, li)
-		if s.bufs[li].empty() {
+		moved := s.tryForward(v, li)
+		if s.bufs[li].empty() || (!moved && s.sleepLane(v, li, p)) {
 			words[p>>6] &^= 1 << (uint(p) & 63)
-		} else {
-			idle = false
 		}
 	}
-	return idle
+	for _, w := range words {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// sleepLane decides whether the blocked head flit on lane li (bit p of
+// switch v's lane mask) can wait for a wakeup instead of being retried
+// next cycle: it must have rested since an earlier cycle, and every output
+// lane it wants must be owned by another packet or have a full downstream
+// buffer. If so it registers the lane on each wanted output's wait list
+// and reports true; the caller clears its active bit.
+func (s *Simulator) sleepLane(v int, li, p int32) bool {
+	ev := s.ev
+	f := s.bufs[li].front()
+	if f.arrived >= s.now {
+		return false
+	}
+	ev.want = s.appendWantedLanes(ev.want[:0], v, li, f)
+	if len(ev.want) == 0 {
+		return false // nothing to wait on (possible after faults): keep retrying
+	}
+	for _, out := range ev.want {
+		owned := s.owner[out] != noOwner && s.owner[out] != f.pkt
+		ejection := out >= ev.injBase // wanted outputs are never injection lanes
+		if !owned && (ejection || !s.bufs[out].full()) {
+			return false // blocked only by a busy or dead wire
+		}
+	}
+	bit := uint64(1) << (uint(p) & 63)
+	for _, out := range ev.want {
+		ev.waiters[out][p>>6] |= bit
+	}
+	return true
 }
 
 // feedInjectionEvent visits every node with a (possibly) non-empty source
-// queue, in ascending order, retiring nodes that have nothing to inject.
+// queue, in ascending order, retiring nodes that have nothing to inject
+// and putting to sleep nodes whose injection buffer is full.
 func (s *Simulator) feedInjectionEvent() {
 	ev := s.ev
 	for wi, word := range ev.srcWords {
@@ -198,8 +360,13 @@ func (s *Simulator) feedInjectionEvent() {
 		for word != 0 {
 			v := base + bits.TrailingZeros64(word)
 			word &= word - 1
+			ev.feedVisits++
+			bit := uint64(1) << (uint(v) & 63)
 			if s.feedNode(v) {
-				ev.srcWords[wi] &^= 1 << (uint(v) & 63)
+				ev.srcWords[wi] &^= bit
+			} else if s.bufs[s.injVCL(v)].full() {
+				ev.srcWords[wi] &^= bit
+				ev.srcWait[wi] |= bit
 			}
 		}
 	}

@@ -162,6 +162,9 @@ func (s *Simulator) Rewire(tb routing.PathSource) int {
 		}
 	}
 	s.res.PacketsUnroutable += unroutable
+	if s.ev != nil {
+		s.wakeAll() // adaptive candidate sets changed with the path source
+	}
 	return unroutable
 }
 
@@ -316,6 +319,9 @@ func (s *Simulator) removePacketFlits(pid int32) int {
 		}
 	}
 	s.inFlight -= removed
+	if s.ev != nil {
+		s.wakeAll() // freed buffers and output lanes wake their waiters
+	}
 	if want := int(p.sentFlits - p.delivered); removed != want {
 		panic(fmt.Sprintf("wormsim: removing packet %d removed %d flits, expected %d (accounting broken)",
 			pid, removed, want))

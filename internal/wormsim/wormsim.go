@@ -54,10 +54,11 @@ type Engine int
 
 const (
 	// EngineEvent (the default) is the event-driven fast path: per-switch
-	// active-lane worklists, an active-source set, and per-cycle filled-wire
-	// lists let every stage iterate O(active) instead of O(channels x
-	// virtual channels). Flat slice-backed bitmask scheduling — no maps on
-	// the hot path.
+	// active-lane worklists, an active-source set, per-cycle filled-wire
+	// lists, and per-output wait lists on which blocked lanes and sources
+	// sleep until a credit or a released channel wakes them, so every stage
+	// costs O(flits that move) instead of O(channels x virtual channels).
+	// Flat slice-backed bitmask scheduling — no maps on the hot path.
 	EngineEvent Engine = iota
 	// EngineScan is the original engine: every stage scans every lane of
 	// every switch each cycle. It is kept as the independently-implemented
@@ -590,10 +591,10 @@ type Simulator struct {
 	candBuf []int
 	freeBuf []int32
 
-	// ev holds the event-driven scheduling state (active-lane bitmasks and
-	// filled-wire worklists); nil under EngineScan. Every mutation site
-	// that can wake a lane, wire, or source feeds it, so both engines share
-	// one implementation of the physics.
+	// ev holds the event-driven scheduling state (active-lane bitmasks,
+	// wait lists and filled-wire worklists); nil under EngineScan. Every
+	// mutation site that can wake a lane, wire, or source feeds it, so both
+	// engines share one implementation of the physics.
 	ev *evState
 
 	// TraceMove, if non-nil, is called whenever a flit is placed on a wire
@@ -902,7 +903,9 @@ func (s *Simulator) linkStage() {
 
 // linkWire completes the link traversal of the flit on wire w, if one
 // arrived before this cycle: it lands in the downstream virtual-channel
-// buffer, waking that lane. It is the per-wire body shared by both engines.
+// buffer, waking that lane if the buffer was empty (a flit landing behind
+// a head flit changes nothing for the head). It is the per-wire body
+// shared by both engines.
 func (s *Simulator) linkWire(w int) {
 	if !s.wireFull[w] || s.wire[w].arrived >= s.now {
 		return
@@ -918,7 +921,7 @@ func (s *Simulator) linkWire(w int) {
 	b.push(f)
 	s.wireFull[w] = false
 	s.lastMove = s.now
-	if s.ev != nil {
+	if s.ev != nil && b.size == 1 {
 		s.ev.markLane(s.wireVCL[w])
 	}
 }
@@ -956,15 +959,15 @@ func (s *Simulator) canAccept(out int32) bool {
 }
 
 // tryForward attempts to advance the head flit of input vclane li at
-// switch v.
-func (s *Simulator) tryForward(v int, li int32) {
+// switch v, reporting whether it moved.
+func (s *Simulator) tryForward(v int, li int32) bool {
 	b := &s.bufs[li]
 	if b.empty() {
-		return
+		return false
 	}
 	f := b.front()
 	if f.arrived >= s.now {
-		return
+		return false
 	}
 	out := s.nextOut[li]
 	if f.idx == 0 {
@@ -972,11 +975,11 @@ func (s *Simulator) tryForward(v int, li int32) {
 		// the switch is the routing/arbitration clock).
 		out = s.routeHeader(v, li, f)
 		if out == noVCL {
-			return // blocked: desired output(s) busy
+			return false // blocked: desired output(s) busy
 		}
 	}
 	if out == noVCL || !s.canAccept(out) {
-		return
+		return false
 	}
 	p := &s.packets[f.pkt]
 	fl := b.pop()
@@ -988,6 +991,7 @@ func (s *Simulator) tryForward(v int, li int32) {
 	s.lastMove = s.now
 	if s.ev != nil {
 		s.ev.noteFill(w)
+		s.ev.credit(li)
 	}
 	if ch := s.vclChannel(out); ch >= 0 {
 		if s.measuring {
@@ -1008,7 +1012,11 @@ func (s *Simulator) tryForward(v int, li int32) {
 		// input lane's packet binding.
 		s.owner[out] = noOwner
 		s.nextOut[li] = noVCL
+		if s.ev != nil {
+			s.ev.wake(out)
+		}
 	}
+	return true
 }
 
 // routeHeader picks and allocates an output vclane for a header flit at
